@@ -51,12 +51,13 @@
 //!   `rejected.{quota,overloaded,draining,malformed,unknown}`, plus
 //!   `enqueued`, `conns`, `proto_drops` (undecodable input →
 //!   disconnect), `slow_drops` (stalled partial frames → disconnect)
-//!   and `verdict_mismatch` (cache vs resident-analyzer cross-check —
-//!   any non-zero value is a bug). The event-stream protocol adds
-//!   `events` (lifecycle `event` frames processed), `events_admitted`
-//!   (structures admitted hot by a `post` on an unseen id) and
-//!   `events_noop` (idempotent re-applications of a toggle already in
-//!   the requested state).
+//!   and `verdict_mismatch` (cache vs resident-analyzer cross-check on
+//!   `mutate`, the one resident-structure request still answered from
+//!   the cache — any non-zero value is a bug). The event-stream
+//!   protocol adds `events` (lifecycle `event` frames processed),
+//!   `events_admitted` (structures admitted hot by a `post` on an unseen
+//!   id) and `events_noop` (idempotent re-applications of a toggle
+//!   already in the requested state).
 //!
 //! New instrumentation should claim the existing namespace of the
 //! subsystem it lives in, or introduce a new first segment; never reuse

@@ -689,6 +689,28 @@ impl ScratchReducer {
         self.live_count
     }
 
+    /// Number of live *red* edges remaining in the scratch state: the sum
+    /// of the per-conjunction red counts (the high halves of
+    /// `conjunction_red_state`), which every removal and resurrection
+    /// already maintains. Oracle-checked against a live-edge scan in debug
+    /// builds.
+    pub(crate) fn remaining_red(&self, graph: &SequencingGraph) -> usize {
+        let red = self
+            .conjunction_red_state
+            .iter()
+            .map(|st| (st >> 32) as usize)
+            .sum();
+        debug_assert_eq!(
+            red,
+            self.live
+                .ones()
+                .filter(|&s| graph.edges()[s].color == EdgeColor::Red)
+                .count(),
+            "stale scratch conjunction red state counters"
+        );
+        red
+    }
+
     /// Whether edge slot `s` is live in the scratch state.
     pub(crate) fn slot_is_live(&self, s: usize) -> bool {
         self.live.contains(s)

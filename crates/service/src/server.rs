@@ -24,30 +24,35 @@
 //! mutation stream — the property the load generator's centralised-replay
 //! hash check rests on.
 //!
-//! `analyze`/`mutate` verdicts are answered from the shared
-//! [`AnalysisCache`]: the tier-1 labelled key covers the structure *and*
-//! its current waiver/liveness labels, so a mutation simply moves the
-//! structure to a different key and toggles that revisit earlier states
-//! become tier-1 hits again. No explicit invalidation is needed — stale
-//! entries can only waste space, never serve a wrong verdict, and the
-//! TTL-plus-segmented eviction added for this service bounds that waste. Every
-//! cache verdict is cross-checked against the resident incremental
+//! Verdicts come from one of two sources. `analyze` and `event` address a
+//! resident structure and read its verdict straight off that structure's
+//! resident incremental analyzer ([`Stall`], a
+//! [`DeltaAnalyzer`](trustseq_core::DeltaAnalyzer) held at its reduction
+//! fixpoint): no canonicalisation, no cache probe, no reduction. The §4.2
+//! reduction is confluent, so the resident fixpoint leaves exactly the
+//! edges any maximal reduction of the current graph would. In debug
+//! builds every `analyze` reply is checked field by field against
+//! [`Reducer::run_naive`](trustseq_core::Reducer::run_naive) on a clone
+//! of the graph.
+//!
+//! `analyzespec` carries a spec that is not resident, and `mutate` (u32
+//! ids, whole-op re-certification) still takes the older path; both are
+//! answered from the shared [`AnalysisCache`]. Its tier-1 labelled key
+//! covers the structure *and* its current waiver/liveness labels, so
+//! stale entries can only waste space, never serve a wrong verdict, and
+//! TTL-plus-segmented eviction bounds that waste; no request invalidates
+//! entries. A `mutate` verdict is cross-checked against the resident
 //! analyzer's; a mismatch trips `svc.verdict_mismatch` (and a debug
 //! assertion).
 //!
-//! `event` requests take the streaming path instead: the op maps onto the
-//! structure's event→delta toggles ([`Stall::apply`], which feeds
+//! `event` maps its op onto the structure's event→delta toggles
+//! ([`Stall::apply`], which feeds
 //! [`GraphDelta`](trustseq_core::GraphDelta) batches to the resident
-//! incremental analyzer) and the verdict is read straight off that
-//! analyzer — no canonicalisation, no cache probe. The cache entry keyed
-//! on the *pre-mutation* graph is evicted instead
-//! ([`AnalysisCache::invalidate_graph`]), so the state the structure just
-//! left cannot linger as dead weight. Each resident structure also folds
-//! its event-verdict stream into an order-sensitive FNV hash echoed in
-//! every `everdict` reply, and an `event post` addressed past the end of
-//! the population hot-admits new structures (up to
-//! [`ServiceConfig::max_structures`]) under the same generation law the
-//! load generator mirrors.
+//! analyzer). Each resident structure folds its event-verdict stream into
+//! an order-sensitive FNV hash echoed in every `everdict` reply, and an
+//! `event post` addressed past the end of the population hot-admits new
+//! structures (up to [`ServiceConfig::max_structures`]) under the same
+//! generation law the load generator mirrors.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -56,7 +61,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use trustseq_core::{obs, pool, AnalysisCache, SequencingGraph};
+use trustseq_core::{obs, pool, AnalysisCache, EdgeColor, Reducer, SequencingGraph};
 use trustseq_dist::net::{encode_frame, Addr, Conn, FrameDecoder, Listener};
 use trustseq_dist::{RejectReason, ServiceReply, ServiceRequest, ServiceStats};
 use trustseq_workloads::{fnv_fold, MarketMode, MarketOp, RandomConfig, Stall, FNV_OFFSET};
@@ -718,7 +723,7 @@ fn semantic_reject(shared: &Arc<Shared>, seq: u64, reason: RejectReason) -> Serv
 }
 
 /// Cache-served verdict for a resident structure, cross-checked against
-/// the resident incremental analyzer.
+/// the resident incremental analyzer — the `mutate` path.
 fn verdict_of(shared: &Arc<Shared>, seq: u64, stall: &Stall) -> ServiceReply {
     let cached = shared.cache.verdict(stall.graph());
     if cached.feasible != stall.feasible() {
@@ -743,10 +748,40 @@ fn verdict_of(shared: &Arc<Shared>, seq: u64, stall: &Stall) -> ServiceReply {
     }
 }
 
+/// The verdict of a resident structure, read straight off its resident
+/// incremental analyzer — no canonicalisation, no cache probe, no
+/// reduction. Debug builds re-derive all three fields with the naive
+/// oracle and panic on any disagreement.
 fn analyze(shared: &Arc<Shared>, seq: u64, id: u32) -> ServiceReply {
-    match shared.resident(u64::from(id)) {
-        Some(resident) => verdict_of(shared, seq, &resident.lock().stall),
-        None => semantic_reject(shared, seq, RejectReason::UnknownStructure),
+    let Some(resident) = shared.resident(u64::from(id)) else {
+        return semantic_reject(shared, seq, RejectReason::UnknownStructure);
+    };
+    let resident = resident.lock();
+    let stall = &resident.stall;
+    let (feasible, remaining, remaining_red) = (
+        stall.feasible(),
+        stall.remaining_edges(),
+        stall.remaining_red(),
+    );
+    if cfg!(debug_assertions) {
+        let graph = stall.graph();
+        let naive = Reducer::new(graph.clone()).run_naive();
+        let naive_red = naive
+            .remaining_edges
+            .iter()
+            .filter(|&&e| graph.edge(e).color == EdgeColor::Red)
+            .count();
+        assert_eq!(
+            (feasible, remaining, remaining_red),
+            (naive.feasible, naive.remaining_edges.len(), naive_red),
+            "resident analyzer of structure {id} disagrees with the naive oracle"
+        );
+    }
+    ServiceReply::Verdict {
+        seq,
+        feasible,
+        remaining: remaining as u32,
+        remaining_red: remaining_red as u32,
     }
 }
 
@@ -763,10 +798,9 @@ fn mutate(shared: &Arc<Shared>, seq: u64, id: u32, op: MarketOp, slot: usize) ->
 
 /// The streaming event path: the op drives the resident incremental
 /// analyzer through the structure's event→delta toggles and the verdict
-/// is read straight off it — no canonicalisation, no cache probe. The
-/// cache entry keyed on the pre-mutation graph is evicted instead, so the
-/// state the structure just left cannot linger. A `post` addressed past
-/// the current population end hot-admits structures up to the cap.
+/// is read straight off it — no canonicalisation, no cache probe. A
+/// `post` addressed past the current population end hot-admits
+/// structures up to the cap.
 fn event(shared: &Arc<Shared>, seq: u64, id: u64, op: MarketOp, slot: usize) -> ServiceReply {
     let resident = match shared.resident(id) {
         Some(resident) => Some(resident),
@@ -777,9 +811,6 @@ fn event(shared: &Arc<Shared>, seq: u64, id: u64, op: MarketOp, slot: usize) -> 
         return semantic_reject(shared, seq, RejectReason::UnknownStructure);
     };
     let mut resident = resident.lock();
-    // Delta-aware invalidation: the structure is about to leave this
-    // graph state, so its cached verdict is dead weight from here on.
-    shared.cache.invalidate_graph(resident.stall.graph());
     match resident.stall.apply(op, slot) {
         Ok(changed) => {
             if !changed && obs::enabled() {

@@ -1045,7 +1045,7 @@ pub fn run_service_bench(
     let json = format!(
         r#"{{
   "suite": "service",
-  "note": "always-on analysis service (E27): pipelined request engine over loopback TCP on one machine — the loadgen clients, their reader threads, the server's accept loop, connection readers and pool workers all share {cpus} core(s), so rps is a self-contained single-box number, not a distributed-systems claim. Requests are length-prefixed text frames (analyze/mutate/analyzespec/stats) against a resident marketplace population; verdicts are served from the shared two-tier analysis cache (TTL + segmented eviction) and cross-checked against the resident incremental analyzers. Every verdict the clients receive is verified after the timed window by replaying the accepted schedule against per-client full-re-reduction mirrors (the centralised reducer) and comparing order-sensitive FNV verdict-stream hashes per structure; wrong_verdicts and hash_mismatches are hard gates, not observations. Latency percentiles cover accepted (verdict-carrying) replies only and include client-side queueing inside the pipelining window, so they are honest end-to-end numbers at full throughput, not unloaded ping times. The overload phase sizes per-connection token-bucket quotas to half of phase 1's measured rps while clients offer full speed (~2x overload): the gate demands typed shedding engaged and the p99 of accepted requests stays bounded — no hangs, no unbounded queueing, no wrong verdicts under pressure.",
+  "note": "always-on analysis service (E27): pipelined request engine over loopback TCP on one machine — the loadgen clients, their reader threads, the server's accept loop, connection readers and pool workers all share {cpus} core(s), so rps is a self-contained single-box number, not a distributed-systems claim. Requests are length-prefixed text frames (analyze/mutate/analyzespec/stats) against a resident marketplace population; analyze verdicts are read straight off the resident incremental analyzers, while mutate and analyzespec verdicts come from the shared two-tier analysis cache (TTL + segmented eviction), mutate's cross-checked against the resident analyzers. Every verdict the clients receive is verified after the timed window by replaying the accepted schedule against per-client full-re-reduction mirrors (the centralised reducer) and comparing order-sensitive FNV verdict-stream hashes per structure; wrong_verdicts and hash_mismatches are hard gates, not observations. Latency percentiles cover accepted (verdict-carrying) replies only and include client-side queueing inside the pipelining window, so they are honest end-to-end numbers at full throughput, not unloaded ping times. The overload phase sizes per-connection token-bucket quotas to half of phase 1's measured rps while clients offer full speed (~2x overload): the gate demands typed shedding engaged and the p99 of accepted requests stays bounded — no hangs, no unbounded queueing, no wrong verdicts under pressure.",
   "harness": "cargo run --release -- loadgen --bench-out (in-process server, ephemeral loopback port)",
   "platform": "{}-{}",
   "cpu_count": {cpus},
@@ -1135,7 +1135,7 @@ pub fn run_events_bench(
     let json = format!(
         r#"{{
   "suite": "events",
-  "note": "event-stream wire protocol (E28) vs the whole-op mutate baseline, in-process over loopback TCP on one machine ({cpus} core(s) shared by clients, readers and workers — a self-contained single-box number). Both phases push the same mutation volume through the same pipelined engine; only the frame type differs. The baseline phase sends whole-op `mutate` frames: the server applies the delta, then re-serves the verdict through the canonicalizing cache path and cross-checks it against the resident incremental analyzer — per-request canonicalization is the dominant cost. The event phase sends lifecycle `event` frames (post/accept/cancel/expire with a slot): verdicts come straight off the resident per-structure delta analyzers with delta-aware cache invalidation, no canonicalization and no cache probe, and a slice of the population is admitted hot mid-run by `post` frames on unseen structure ids. Verification is three-legged in the event phase: every verdict is checked against per-client centralised full-re-reduction mirrors after the timed window, order-sensitive FNV verdict-stream hashes are compared per structure, and the server's echoed running hash must match the mirror fold — wrong_verdicts and hash_mismatches are hard gates. speedup_vs_mutate is phase-2 rps over phase-1 rps; the committed gate is 3x minimum with zero verification failures.",
+  "note": "event-stream wire protocol (E28) vs the whole-op mutate baseline, in-process over loopback TCP on one machine ({cpus} core(s) shared by clients, readers and workers — a self-contained single-box number). Both phases push the same mutation volume through the same pipelined engine; only the frame type differs. The baseline phase sends whole-op `mutate` frames: the server applies the delta, then re-serves the verdict through the canonicalizing cache path and cross-checks it against the resident incremental analyzer — per-request canonicalization is the dominant cost. The event phase sends lifecycle `event` frames (post/accept/cancel/expire with a slot): verdicts come straight off the resident per-structure delta analyzers with no canonicalization and no cache call, and a slice of the population is admitted hot mid-run by `post` frames on unseen structure ids. Verification is three-legged in the event phase: every verdict is checked against per-client centralised full-re-reduction mirrors after the timed window, order-sensitive FNV verdict-stream hashes are compared per structure, and the server's echoed running hash must match the mirror fold — wrong_verdicts and hash_mismatches are hard gates. speedup_vs_mutate is phase-2 rps over phase-1 rps; the committed gate is 3x minimum with zero verification failures.",
   "harness": "cargo run --release -- loadgen --events --bench-out (in-process server, ephemeral loopback port)",
   "platform": "{}-{}",
   "cpu_count": {cpus},

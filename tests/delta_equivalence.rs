@@ -4,14 +4,18 @@
 //! verdict, whatever the undo fallback threshold — including both sides
 //! of the exact threshold boundary — and the spec-level event mappings
 //! ([`trust_deltas`] / [`indemnity_deltas`]) must round-trip to the
-//! original verdict.
+//! original verdict. A marketplace [`Stall`] driven by random events
+//! must report the naive oracle's verdict, remainder and red remainder
+//! after every event.
 //!
 //! [`trust_deltas`]: trustseq::core::SequencingGraph::trust_deltas
 //! [`indemnity_deltas`]: trustseq::core::SequencingGraph::indemnity_deltas
 
 use proptest::prelude::*;
-use trustseq::core::{CommitmentId, DeltaAnalyzer, EdgeId, GraphDelta, SequencingGraph};
-use trustseq::workloads::{random_exchange, RandomConfig};
+use trustseq::core::{
+    CommitmentId, DeltaAnalyzer, EdgeColor, EdgeId, GraphDelta, Reducer, SequencingGraph,
+};
+use trustseq::workloads::{random_exchange, MarketMode, MarketOp, RandomConfig, Stall};
 
 fn arb_config() -> impl Strategy<Value = RandomConfig> {
     (1usize..=2, 1usize..=4, 0u8..=10, any::<u64>()).prop_map(
@@ -87,8 +91,65 @@ fn drive_checked(
     Ok(verdicts)
 }
 
+/// `(feasible, remaining edges, remaining red edges)` after a maximal
+/// naive reduction of `graph`, red edges counted among the remaining.
+fn naive_verdict(graph: &SequencingGraph) -> (bool, usize, usize) {
+    let naive = Reducer::new(graph.clone()).run_naive();
+    let red = naive
+        .remaining_edges
+        .iter()
+        .filter(|&&e| graph.edge(e).color == EdgeColor::Red)
+        .count();
+    (naive.feasible, naive.remaining_edges.len(), red)
+}
+
+fn stall_verdict(stall: &Stall) -> (bool, usize, usize) {
+    (
+        stall.feasible(),
+        stall.remaining_edges(),
+        stall.remaining_red(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The three fields the service's `analyze` reply reads off a resident
+    /// stall — feasibility, remainder size and red remainder size — equal
+    /// the naive oracle's on the stall's current graph after every
+    /// marketplace event, in both maintenance modes and across fallback
+    /// thresholds.
+    #[test]
+    fn stall_verdicts_match_naive_oracle_after_every_event(
+        config in arb_config(),
+        full in any::<bool>(),
+        threshold in 0usize..=8,
+        events in proptest::collection::vec((0u8..4, any::<u16>()), 1..32),
+    ) {
+        let mode = if full { MarketMode::Full } else { MarketMode::Delta };
+        // 8 stands for the default threshold.
+        let threshold = (threshold < 8).then_some(threshold);
+        let mut stall = Stall::generate(config.seed, &config, mode, threshold);
+        prop_assert_eq!(stall_verdict(&stall), naive_verdict(stall.graph()));
+        for (op, slot) in events {
+            let op = [MarketOp::Accept, MarketOp::Cancel, MarketOp::Post, MarketOp::Expire]
+                [usize::from(op)];
+            let limit = match op {
+                MarketOp::Accept | MarketOp::Cancel => stall.pairs(),
+                MarketOp::Post | MarketOp::Expire => stall.deals(),
+            };
+            if limit == 0 {
+                continue;
+            }
+            stall.apply(op, usize::from(slot) % limit).unwrap();
+            prop_assert_eq!(
+                stall_verdict(&stall),
+                naive_verdict(stall.graph()),
+                "stall diverged from the naive oracle after {:?}",
+                op
+            );
+        }
+    }
 
     /// A resident analyzer fed an arbitrary stream of edge toggles and
     /// waiver toggles agrees with the cold full re-analysis oracle on

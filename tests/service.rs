@@ -122,7 +122,10 @@ fn end_to_end_million_scale_mix_verifies_against_centralised_replay() {
     assert!(report.accepted > 25_000, "unquota'd run mostly accepted");
     let stats = shutdown(handle, serving);
     assert!(stats.accepted >= report.accepted, "server counted the work");
-    assert!(stats.cache_hits > 0, "re-certifications hit the cache");
+    assert!(
+        stats.cache_hits > 0,
+        "repeated analyzespec templates (and mutate revisits) hit the cache; analyze never probes it"
+    );
 }
 
 #[test]
@@ -501,6 +504,102 @@ fn event_verdicts_come_off_the_resident_analyzer_with_a_running_hash() {
         }
     }
     shutdown(handle, serving);
+}
+
+/// Interleaved `analyze` and `event` frames — no `mutate`, no
+/// `analyzespec` — are answered off the resident analyzers: every reply
+/// matches a `Full`-mode mirror (all three `verdict` fields, and the
+/// running `everdict` hash), and the cache is never probed.
+#[test]
+fn analyze_and_event_are_served_off_the_resident_analyzers_without_the_cache() {
+    let cfg = ServiceConfig {
+        structures: 4,
+        ..ServiceConfig::default()
+    };
+    let (seed, base, structures) = (cfg.seed, cfg.base.clone(), cfg.structures);
+    let (addr, handle, serving) = spawn_server(cfg);
+    let mut mirrors: Vec<Stall> = (0..structures)
+        .map(|i| Stall::generate(seed.wrapping_add(i as u64), &base, MarketMode::Full, None))
+        .collect();
+    let mut hashes = vec![FNV_OFFSET; structures];
+    let ops = [
+        ServiceOp::Accept,
+        ServiceOp::Post,
+        ServiceOp::Cancel,
+        ServiceOp::Expire,
+    ];
+
+    let mut conn = connect(&addr);
+    let mut seq = 0u64;
+    for round in 0..48usize {
+        let id = round % structures;
+        let op = ops[(round / structures) % ops.len()];
+        let mirror = &mut mirrors[id];
+        let limit = match op {
+            ServiceOp::Accept | ServiceOp::Cancel => mirror.pairs(),
+            ServiceOp::Post | ServiceOp::Expire => mirror.deals(),
+        };
+        if limit > 0 {
+            let slot = (round * 7 % limit) as u32;
+            seq += 1;
+            send(
+                &mut conn,
+                &ServiceRequest::Event {
+                    seq,
+                    id: id as u64,
+                    op,
+                    slot,
+                },
+            );
+            mirror
+                .apply(market_op(op), slot as usize)
+                .expect("mirror accepts the in-range slot");
+            hashes[id] = fnv_fold(
+                fnv_fold(hashes[id], u64::from(mirror.feasible())),
+                mirror.remaining_edges() as u64,
+            );
+            match collect(&mut conn, 1, Duration::from_secs(5)).as_slice() {
+                [ServiceReply::EventVerdict {
+                    seq: rseq,
+                    feasible,
+                    remaining,
+                    hash,
+                }] => {
+                    assert_eq!(*rseq, seq);
+                    assert_eq!(*feasible, mirror.feasible(), "event verdict, round {round}");
+                    assert_eq!(*remaining as usize, mirror.remaining_edges());
+                    assert_eq!(*hash, hashes[id], "running hash, round {round}");
+                }
+                other => panic!("expected one everdict, got {other:?}"),
+            }
+        }
+        seq += 1;
+        send(&mut conn, &ServiceRequest::Analyze { seq, id: id as u32 });
+        match collect(&mut conn, 1, Duration::from_secs(5)).as_slice() {
+            [ServiceReply::Verdict {
+                seq: rseq,
+                feasible,
+                remaining,
+                remaining_red,
+            }] => {
+                assert_eq!(*rseq, seq);
+                assert_eq!(
+                    *feasible,
+                    mirror.feasible(),
+                    "analyze verdict, round {round}"
+                );
+                assert_eq!(*remaining as usize, mirror.remaining_edges());
+                assert_eq!(*remaining_red as usize, mirror.remaining_red());
+            }
+            other => panic!("expected one verdict, got {other:?}"),
+        }
+    }
+    let stats = shutdown(handle, serving);
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        0,
+        "neither analyze nor event touches the cache"
+    );
 }
 
 #[test]
