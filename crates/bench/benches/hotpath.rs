@@ -1,7 +1,7 @@
 //! Bench: the zero-allocation hot path (E22) and the raw-speed pass —
-//! persistent-pool fan-out versus per-call scoped spawns, bitset/SoA
-//! scratch reduction versus the heap-worklist scratch engine and a fresh
-//! owning reducer, shard-affinity versus work-stealing batch fan-out, and
+//! persistent-pool fan-out versus per-call scoped spawns, reusable
+//! bitset/SoA scratch reduction versus a fresh owning reducer,
+//! shard-affinity versus work-stealing batch fan-out, and
 //! the bounded-memory streaming sweep versus the materialized driver.
 //!
 //! Comparisons, all over the E19 trust-density spec corpus:
@@ -17,16 +17,16 @@
 //! * `dispatch_pooled` vs `dispatch_scoped_spawn` — the fan-out primitive
 //!   alone on a no-op job, isolating spawn/park cost from the reduction
 //!   work.
-//! * `reduce_scratch` vs `reduce_heap_scratch` vs `reduce_owning` — a
-//!   single spec reduced through the bitset/SoA [`ScratchReducer`] (live
-//!   edges and candidates in `u64` bitset words, packed per-node state
-//!   words), through the PR-4 pointer-ordered heap-worklist
-//!   [`HeapScratchReducer`], and through a fresh
-//!   `Reducer::new(graph.clone())` per iteration. `elements` carries the
-//!   reduction-step count, so the JSON yields explicit reductions/sec.
-//! * `reduce_corpus_scratch` vs `reduce_corpus_heap_scratch` — the same
-//!   two engines walking the whole mixed-density corpus on one thread,
-//!   the representative single-thread reduction-throughput figure.
+//! * `reduce_scratch` vs `reduce_owning` — a single spec reduced through
+//!   one reused bitset/SoA [`ScratchReducer`] (live edges and candidates
+//!   in `u64` bitset words, packed per-node state words) and through a
+//!   fresh `Reducer::new(graph.clone())` per iteration, which clones the
+//!   graph and runs the same engine on a fresh scratchpad. `elements`
+//!   carries the reduction-step count, so the JSON yields explicit
+//!   reductions/sec.
+//! * `reduce_corpus_scratch` — the scratchpad walking the whole
+//!   mixed-density corpus on one thread, the representative
+//!   single-thread reduction-throughput figure.
 //! * `sweep_materialized` vs `sweep_streaming` — the feasibility-rate
 //!   sweep with the whole corpus resident versus the chunked streaming
 //!   driver; a byte-tracking global allocator asserts in-bench that the
@@ -46,9 +46,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use trustseq_core::{
-    pool, HeapScratchReducer, Reducer, ReductionOutcome, ScratchReducer, SequencingGraph, Strategy,
-};
+use trustseq_core::{pool, Reducer, ReductionOutcome, ScratchReducer, SequencingGraph, Strategy};
 use trustseq_model::ExchangeSpec;
 use trustseq_workloads::{feasibility_rate_cached, random_exchange, sweep_streaming, RandomConfig};
 
@@ -241,27 +239,21 @@ fn bench_hotpath(c: &mut Criterion) {
         })
     });
 
-    // Per-spec reduction: the bitset/SoA engine versus the PR-4
-    // heap-worklist scratch engine versus a fresh owning reducer. All
-    // three must agree byte-for-byte on the densest corpus graph.
+    // Per-spec reduction: a reused scratchpad versus a fresh owning
+    // reducer. The engine must agree byte-for-byte with the rescan oracle
+    // on the densest corpus graph.
     let dense = &graphs[graphs.len() - 1];
     let mut scratch = ScratchReducer::new();
-    let mut heap = HeapScratchReducer::new();
     let mut out = ReductionOutcome::default();
     scratch.run_into(dense, Strategy::Deterministic, &mut out);
     let dense_reductions = out.trace.len() as u64;
-    assert_eq!(&out, &Reducer::new(dense.clone()).run());
-    heap.run_into(dense, Strategy::Deterministic, &mut out);
-    assert_eq!(&out, &Reducer::new(dense.clone()).run());
+    assert_eq!(&out, &Reducer::new(dense.clone()).run_naive());
     // `elements` = reduction steps per pass, so every `reduce_*` entry in
     // the emitted JSON yields an explicit reductions/sec figure
     // (elements / mean_ns).
     group.throughput(Throughput::Elements(dense_reductions));
     group.bench_function("reduce_scratch", |b| {
         b.iter(|| scratch.run_into(black_box(dense), Strategy::Deterministic, &mut out))
-    });
-    group.bench_function("reduce_heap_scratch", |b| {
-        b.iter(|| heap.run_into(black_box(dense), Strategy::Deterministic, &mut out))
     });
     group.bench_function("reduce_owning", |b| {
         b.iter(|| Reducer::new(black_box(dense.clone())).run())
@@ -284,13 +276,6 @@ fn bench_hotpath(c: &mut Criterion) {
         b.iter(|| {
             for g in &graphs {
                 scratch.run_into(black_box(g), Strategy::Deterministic, &mut out);
-            }
-        })
-    });
-    group.bench_function("reduce_corpus_heap_scratch", |b| {
-        b.iter(|| {
-            for g in &graphs {
-                heap.run_into(black_box(g), Strategy::Deterministic, &mut out);
             }
         })
     });

@@ -52,7 +52,7 @@ use crate::build::BuildOptions;
 use crate::canon::{canonicalize, prefingerprint, CanonicalForm, Fingerprint, PreFingerprint};
 use crate::graph::{EdgeColor, SequencingGraph};
 use crate::obs;
-use crate::reduce::{ConfluenceReport, Reducer, ReductionOutcome, Strategy};
+use crate::reduce::{ConfluenceReport, ReductionOutcome, Strategy};
 use crate::scratch::ScratchReducer;
 use crate::CoreError;
 use parking_lot::Mutex;
@@ -385,7 +385,7 @@ impl AnalysisCache {
     #[cfg(debug_assertions)]
     fn maybe_verify_hit(hits_before: u64, graph: &SequencingGraph, labelled: &LabelledEntry) {
         if hits_before.is_multiple_of(HIT_VERIFY_SAMPLE) {
-            let fresh = Reducer::new(labelled.form.canonical_graph(graph)).run();
+            let fresh = crate::Reducer::new(labelled.form.canonical_graph(graph)).run();
             assert_eq!(
                 fresh, labelled.entry.outcome,
                 "cached outcome diverges from a fresh reduction (fingerprint collision?)"
@@ -456,13 +456,14 @@ impl AnalysisCache {
                 let intern_span = obs::enabled().then(obs::Span::wall);
                 // Reduce outside the lock: reductions are the expensive
                 // part, and a racing thread interning the same structure
-                // first is harmless.
-                let (outcome, reduced) =
-                    Reducer::new(form.canonical_graph(graph)).run_keeping_graph();
+                // first is harmless. Edge colour is static, so the
+                // surviving reds are read off the canonical graph itself.
+                let canonical = form.canonical_graph(graph);
+                let outcome = ScratchReducer::new().run(&canonical, Strategy::Deterministic);
                 let remaining_red = outcome
                     .remaining_edges
                     .iter()
-                    .filter(|&&e| reduced.edge(e).color == EdgeColor::Red)
+                    .filter(|&&e| canonical.edge(e).color == EdgeColor::Red)
                     .count() as u32;
                 let candidate = Arc::new(CacheEntry {
                     outcome,

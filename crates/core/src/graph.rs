@@ -405,15 +405,6 @@ impl SequencingGraph {
         &self.alive
     }
 
-    /// The cached per-node live counters, for scratch-state seeding.
-    pub(crate) fn live_counter_slices(&self) -> (&[usize], &[usize], &[usize]) {
-        (
-            &self.commitment_live,
-            &self.conjunction_live,
-            &self.conjunction_live_red,
-        )
-    }
-
     /// The cached packed per-node state words (degree in the high 32 bits,
     /// live-slot XOR accumulator in the low 32) for commitments,
     /// conjunctions, and red-only conjunctions, kept in lock-step with

@@ -90,5 +90,5 @@ pub use reduce::{
     confluence_check, confluence_check_cached, confluence_sweep, ConfluenceReport, Move, Reducer,
     ReductionOutcome, Strategy,
 };
-pub use scratch::{HeapScratchReducer, ScratchReducer};
+pub use scratch::ScratchReducer;
 pub use trace::{ReductionStep, ReductionTrace, Rule};

@@ -31,9 +31,12 @@
 //! Metric names are dot-separated, with the first segment naming the
 //! emitting subsystem. The taxonomy in use across the workspace:
 //!
-//! * `reduce.*` — reduction engines: `runs`, `removals`,
+//! * `reduce.*` — the reduction engine: `runs`, `removals`,
 //!   `candidates_scanned`, `worklist_peak`, `bitset_words`,
-//!   `verdict_only_runs`.
+//!   `verdict_only_runs`. Every caller, `Reducer` included, reduces
+//!   through `ScratchReducer`, so `worklist_peak` is always the peak size
+//!   of its exact candidate set (deterministic strategy) or of the
+//!   rescanned applicable set (randomized).
 //! * `cache.*` — the analysis cache: `misses`, `evictions`, `expired`
 //!   (TTL evictions), `invalidations`, `intern_ns`.
 //! * `pool.*` — the worker pool: `jobs`, `width`, `panics`,

@@ -1,7 +1,7 @@
 //! The reduction engine: rules #1 and #2, maximal (greedy) reduction and the
 //! feasibility test (§4.2).
 
-use crate::graph::{Edge, EdgeColor, EdgeId, SequencingGraph};
+use crate::graph::{EdgeId, SequencingGraph};
 use crate::obs;
 use crate::trace::{ReductionStep, ReductionTrace, Rule};
 use crate::CoreError;
@@ -9,23 +9,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 use std::fmt;
-
-/// A worklist entry: an edge that *may* currently be removable under one of
-/// the two rules.
-///
-/// The derived ordering — edge id first, then `rule1` (`true` sorts above
-/// `false`) — makes a max-[`BinaryHeap`] pop candidates in exactly the order
-/// the deterministic strategy wants: largest edge id, rule #1 preferred on
-/// ties. Entries are *lazily invalidated*: conditions are re-checked at pop
-/// time, stale entries are discarded, and `via_clause2` is recomputed fresh
-/// so the recorded step never reflects out-of-date pre-emption state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Candidate {
-    pub(crate) edge: EdgeId,
-    pub(crate) rule1: bool,
-}
 
 /// A reduction move: a live edge together with the rule that sanctions its
 /// removal.
@@ -95,6 +79,13 @@ impl fmt::Display for ReductionOutcome {
 }
 
 /// Applies reduction rules to a [`SequencingGraph`] until no more apply.
+///
+/// The owning front end of the one reduction engine:
+/// [`run`](Self::run) and [`run_keeping_graph`](Self::run_keeping_graph)
+/// each make one [`ScratchReducer`](crate::ScratchReducer) run, while
+/// [`applicable_moves`](Self::applicable_moves), [`apply`](Self::apply)
+/// and [`run_naive`](Self::run_naive) work the rules directly on the owned
+/// graph and serve as the independent oracle the engine is tested against.
 ///
 /// ```
 /// use trustseq_core::{fixtures, Reducer, SequencingGraph};
@@ -218,183 +209,40 @@ impl Reducer {
         Ok(step)
     }
 
-    /// Re-checks a popped worklist entry against the *current* graph,
-    /// returning the move it stands for if it is still applicable.
-    ///
-    /// `via_clause2` is recomputed here rather than stored in the entry, so a
-    /// step recorded after pre-emption state changed still reports the clause
-    /// that actually sanctioned it.
-    fn revalidate(&self, cand: Candidate) -> Option<Move> {
-        let g = &self.graph;
-        if !g.is_live(cand.edge) {
-            return None;
-        }
-        let e = g.edge(cand.edge);
-        if cand.rule1 {
-            if g.commitment_degree(e.commitment) != 1 {
-                return None;
-            }
-            let preempted = g.preempted_by_red(e.conjunction, e.id);
-            let waiver = g.commitment(e.commitment).clause2_waiver;
-            if preempted && !waiver {
-                return None;
-            }
-            Some(Move {
-                edge: e.id,
-                rule: Rule::CommitmentFringe,
-                via_clause2: preempted && waiver,
-            })
-        } else {
-            if g.conjunction_degree(e.conjunction) != 1 {
-                return None;
-            }
-            Some(Move {
-                edge: e.id,
-                rule: Rule::ConjunctionFringe,
-                via_clause2: false,
-            })
-        }
-    }
-
-    /// Pushes every move that removing `removed` can newly enable.
-    ///
-    /// Removing edge `(c, j)` can only change applicability in the affected
-    /// neighbourhood, via three monotone events:
-    ///
-    /// (a) `c`'s degree dropped to 1 — its surviving edge becomes a rule #1
-    ///     candidate;
-    /// (b) `j`'s degree dropped to 1 — its surviving edge becomes a rule #2
-    ///     candidate;
-    /// (c) `removed` was red — pre-emption at `j` may have lifted, so every
-    ///     live edge at `j` whose commitment is on the fringe becomes a
-    ///     rule #1 candidate.
-    ///
-    /// Degrees never grow and red edges never reappear during a run, so once
-    /// applicable a move stays applicable until its edge is removed; pushing
-    /// at each enabling event therefore keeps the heap a superset of the
-    /// applicable set, which is the invariant the driver relies on.
-    fn push_unlocked(&self, removed: Edge, heap: &mut BinaryHeap<Candidate>) {
-        let g = &self.graph;
-        if g.commitment_degree(removed.commitment) == 1 {
-            let survivor = g
-                .live_edges_of_commitment(removed.commitment)
-                .next()
-                .expect("degree 1 means one live edge");
-            heap.push(Candidate {
-                edge: survivor.id,
-                rule1: true,
-            });
-        }
-        if g.conjunction_degree(removed.conjunction) == 1 {
-            let survivor = g
-                .live_edges_of_conjunction(removed.conjunction)
-                .next()
-                .expect("degree 1 means one live edge");
-            heap.push(Candidate {
-                edge: survivor.id,
-                rule1: false,
-            });
-        }
-        if removed.color == EdgeColor::Red {
-            for e in g.live_edges_of_conjunction(removed.conjunction) {
-                if g.commitment_degree(e.commitment) == 1 {
-                    heap.push(Candidate {
-                        edge: e.id,
-                        rule1: true,
-                    });
-                }
-            }
-        }
-    }
-
-    /// The single reduction driver behind [`Reducer::run`] and
-    /// [`Reducer::run_keeping_graph`].
-    ///
-    /// The deterministic strategy runs the incremental worklist: the heap is
-    /// seeded with the currently applicable moves, and after each removal
-    /// only the removed edge's endpoints are re-examined
-    /// ([`Self::push_unlocked`]), so each step costs O(affected
-    /// neighbourhood · log worklist) instead of a full edge rescan. The
-    /// randomized strategy keeps the rescan loop, because it must sample
-    /// uniformly from the *whole* applicable set at every step.
-    fn drive(mut self) -> (ReductionOutcome, SequencingGraph) {
-        let mut trace = ReductionTrace::new();
-        // Worklist-depth tracking only runs with a recorder installed, so
-        // the default path is byte-for-byte the uninstrumented loop.
-        let track = obs::enabled();
-        let mut worklist_peak = 0usize;
-        match self.strategy {
-            Strategy::Deterministic => {
-                let mut heap: BinaryHeap<Candidate> = self
-                    .applicable_moves()
-                    .into_iter()
-                    .map(|m| Candidate {
-                        edge: m.edge,
-                        rule1: m.rule == Rule::CommitmentFringe,
-                    })
-                    .collect();
-                if track {
-                    worklist_peak = heap.len();
-                }
-                while let Some(cand) = heap.pop() {
-                    let Some(mv) = self.revalidate(cand) else {
-                        continue;
-                    };
-                    let removed = *self.graph.edge(mv.edge);
-                    let step = self.apply(mv).expect("revalidated move must apply");
-                    trace.push(step);
-                    self.push_unlocked(removed, &mut heap);
-                    if track {
-                        worklist_peak = worklist_peak.max(heap.len());
-                    }
-                }
-            }
-            Strategy::Randomized { seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                loop {
-                    let mut moves = self.applicable_moves();
-                    if moves.is_empty() {
-                        break;
-                    }
-                    if track {
-                        worklist_peak = worklist_peak.max(moves.len());
-                    }
-                    moves.shuffle(&mut rng);
-                    let step = self.apply(moves[0]).expect("applicable move must apply");
-                    trace.push(step);
-                }
-            }
-        }
-        let remaining_edges: Vec<EdgeId> = self.graph.live_edges().map(|e| e.id).collect();
-        let outcome = ReductionOutcome {
-            feasible: remaining_edges.is_empty(),
-            trace,
-            remaining_edges,
-        };
-        if track {
-            record_reduction_metrics(&outcome, worklist_peak);
-        }
-        (outcome, self.graph)
-    }
-
     /// Runs the reduction to a fixpoint and reports the outcome.
+    ///
+    /// One [`ScratchReducer`](crate::ScratchReducer) run over the owned
+    /// graph, which is left as it was: a caller that keeps only the
+    /// outcome pays for no graph mutation.
     pub fn run(self) -> ReductionOutcome {
-        self.drive().0
+        crate::ScratchReducer::new().run(&self.graph, self.strategy)
     }
 
     /// Runs the reduction and returns the reduced graph alongside the
     /// outcome (useful for inspecting the impasse of an infeasible
     /// exchange).
-    pub fn run_keeping_graph(self) -> (ReductionOutcome, SequencingGraph) {
-        self.drive()
+    ///
+    /// One [`ScratchReducer`](crate::ScratchReducer) run over the owned
+    /// graph, then every traced edge is removed from it, so the returned
+    /// graph — cached degree counters included — is the one that applying
+    /// the trace move by move through [`Reducer::apply`] would leave.
+    pub fn run_keeping_graph(mut self) -> (ReductionOutcome, SequencingGraph) {
+        let outcome = crate::ScratchReducer::new().run(&self.graph, self.strategy);
+        for step in outcome.trace.steps() {
+            self.graph
+                .remove_edge(step.edge)
+                .expect("a traced edge is live until its own step");
+        }
+        (outcome, self.graph)
     }
 
     /// Reference engine: rescans the whole edge set for applicable moves at
-    /// every step, exactly like the pre-worklist implementation.
+    /// every step and applies the chosen one through [`Reducer::apply`].
     ///
-    /// O(edges) per step, so O(edges²) per run — kept as the oracle the
+    /// O(edges) per step, so O(edges²) per run — the one oracle the
     /// property tests and the `reduce_random` benchmarks compare the
-    /// incremental engine against.
+    /// [`ScratchReducer`](crate::ScratchReducer) engine against, under
+    /// either strategy.
     pub fn run_naive(mut self) -> ReductionOutcome {
         let mut trace = ReductionTrace::new();
         let mut rng = match self.strategy {
@@ -433,7 +281,7 @@ impl Reducer {
 
 /// Reports one finished reduction to the installed [`obs`] recorder:
 /// run/removal counters, the rule #1 vs rule #2 split, and the peak
-/// worklist (or applicable-set) depth the driver tracked. Callers gate on
+/// candidate-set (or applicable-set) size the engine tracked. Callers gate on
 /// [`obs::enabled`] first — this is never reached on the disabled path.
 pub(crate) fn record_reduction_metrics(out: &ReductionOutcome, worklist_peak: usize) {
     let rule1 = out
@@ -688,8 +536,8 @@ pub(crate) fn run_and_rewind(graph: &mut SequencingGraph, strategy: Strategy) ->
 /// reusable [`ScratchReducer`](crate::ScratchReducer), so the per-sample
 /// cost is the reduction itself with no per-sample allocation, cloning or
 /// rewinding. The sampled verdicts are byte-identical to the former
-/// rewind-based loop (the scratch engine reproduces [`Reducer`]'s traces
-/// exactly).
+/// rewind-based loop (the scratch engine reproduces the
+/// [`Reducer::run_naive`] oracle's traces exactly).
 ///
 /// # Errors
 ///

@@ -7,10 +7,13 @@
 
 use crate::time::SimTime;
 use crate::SimError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use trustseq_model::{Action, AgentId, ItemId, Money};
+
+/// Length of an encoded [`Message`] frame: send time (8 bytes), action tag
+/// (1), sender (4), receiver (4), payload (8), all big-endian.
+const FRAME_LEN: usize = 25;
 
 /// A message on the simulated network: an [`Action`] stamped with its send
 /// time.
@@ -29,9 +32,7 @@ impl Message {
     }
 
     /// Encodes the message into a compact binary frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(32);
-        buf.put_u64(self.at.ticks());
+    pub fn encode(&self) -> [u8; FRAME_LEN] {
         let (tag, from, to, payload) = match self.action {
             Action::Give { from, to, item } => (0u8, from, to, item.index() as i64),
             Action::Pay { from, to, amount } => (1, from, to, amount.cents()),
@@ -39,11 +40,13 @@ impl Message {
             Action::InversePay { from, to, amount } => (3, from, to, amount.cents()),
             Action::Notify { from, to } => (4, from, to, 0),
         };
-        buf.put_u8(tag);
-        buf.put_u32(from.index() as u32);
-        buf.put_u32(to.index() as u32);
-        buf.put_i64(payload);
-        buf.freeze()
+        let mut frame = [0u8; FRAME_LEN];
+        frame[0..8].copy_from_slice(&self.at.ticks().to_be_bytes());
+        frame[8] = tag;
+        frame[9..13].copy_from_slice(&(from.index() as u32).to_be_bytes());
+        frame[13..17].copy_from_slice(&(to.index() as u32).to_be_bytes());
+        frame[17..25].copy_from_slice(&payload.to_be_bytes());
+        frame
     }
 
     /// Decodes a frame produced by [`Message::encode`].
@@ -52,18 +55,24 @@ impl Message {
     ///
     /// [`SimError::MalformedFrame`] when the frame is truncated or carries an
     /// unknown tag.
-    pub fn decode(mut frame: Bytes) -> Result<Self, SimError> {
-        if frame.len() != 25 {
+    pub fn decode(frame: &[u8]) -> Result<Self, SimError> {
+        let Ok(frame) = <&[u8; FRAME_LEN]>::try_from(frame) else {
             return Err(SimError::MalformedFrame {
                 len: frame.len(),
                 reason: "expected a 25-byte frame",
             });
-        }
-        let at = SimTime::from_ticks(frame.get_u64());
-        let tag = frame.get_u8();
-        let from = AgentId::new(frame.get_u32());
-        let to = AgentId::new(frame.get_u32());
-        let payload = frame.get_i64();
+        };
+        // A big-endian field of the frame, widened to 64 bits.
+        let field = |range: std::ops::Range<usize>| {
+            frame[range]
+                .iter()
+                .fold(0u64, |acc, &b| (acc << 8) | u64::from(b))
+        };
+        let at = SimTime::from_ticks(field(0..8));
+        let tag = frame[8];
+        let from = AgentId::new(field(9..13) as u32);
+        let to = AgentId::new(field(13..17) as u32);
+        let payload = field(17..25) as i64;
         let action = match tag {
             0 => Action::Give {
                 from,
@@ -88,7 +97,7 @@ impl Message {
             4 => Action::Notify { from, to },
             _ => {
                 return Err(SimError::MalformedFrame {
-                    len: 25,
+                    len: FRAME_LEN,
                     reason: "unknown action tag",
                 })
             }
@@ -99,7 +108,7 @@ impl Message {
     /// The size of the encoded frame in bytes (constant, but exposed for
     /// wire-cost accounting).
     pub fn encoded_len(&self) -> usize {
-        25
+        FRAME_LEN
     }
 }
 
@@ -115,7 +124,7 @@ mod tests {
 
     fn roundtrip(action: Action) {
         let msg = Message::new(SimTime::from_ticks(42), action);
-        let decoded = Message::decode(msg.encode()).unwrap();
+        let decoded = Message::decode(&msg.encode()).unwrap();
         assert_eq!(decoded, msg);
         assert_eq!(msg.encode().len(), msg.encoded_len());
     }
@@ -137,10 +146,9 @@ mod tests {
             SimTime::ZERO,
             Action::notify(AgentId::new(0), AgentId::new(1)),
         );
-        let mut bytes = msg.encode();
-        let short = bytes.split_to(10);
+        let frame = msg.encode();
         assert!(matches!(
-            Message::decode(short),
+            Message::decode(&frame[..10]),
             Err(SimError::MalformedFrame { .. })
         ));
     }
@@ -151,10 +159,10 @@ mod tests {
             SimTime::ZERO,
             Action::notify(AgentId::new(0), AgentId::new(1)),
         );
-        let mut raw = BytesMut::from(&msg.encode()[..]);
+        let mut raw = msg.encode();
         raw[8] = 99; // corrupt the tag byte
         assert!(matches!(
-            Message::decode(raw.freeze()),
+            Message::decode(&raw),
             Err(SimError::MalformedFrame { .. })
         ));
     }
